@@ -116,6 +116,7 @@ const SCHEMAS: &[BenchSchema] = &[
             "k",
             "epsilon",
             "gate",
+            "gate_counters",
             "kernel_reference",
             "pipeline_reference",
             "runs",
@@ -345,7 +346,8 @@ mod tests {
     #[test]
     fn seconds_without_ns_per_point_is_drift() {
         let text = r#"{"bench": "b", "tool": "t", "mesh": {}, "k": 1, "epsilon": 0.1,
-                       "gate": {}, "kernel_reference": {}, "pipeline_reference": {},
+                       "gate": {}, "gate_counters": {}, "kernel_reference": {},
+                       "pipeline_reference": {},
                        "runs": [{"n": 1, "p": 1, "k": 1, "wall_serialized_s": 1,
                                  "wall_max_rank_s": 1, "total_ns_per_point": 1,
                                  "phases": {"kmeans": {"seconds": 0.5}},

@@ -86,6 +86,7 @@ fn main() {
     let mut first = true;
     let mut gate_kmeans_ns = 0.0f64;
     let mut gate_assign_ns = 0.0f64;
+    let mut gate_counters = String::new();
     let mut pipeline_json = String::new();
     for &n in sizes {
         // Uniform density ⇒ every rejection-sampling attempt accepts:
@@ -114,6 +115,19 @@ fn main() {
                 }
                 gate_kmeans_ns = npp(kmeans_s);
                 gate_assign_ns = npp(assign_s);
+                // Deterministic work counters of the gate instance: the
+                // perf gate holds them exactly.
+                gate_counters = format!(
+                    "{{\"movement_iterations\": {}, \"balance_iterations\": {}, \
+                     \"distance_evals\": {}, \"hamerly_skips\": {}, \
+                     \"bbox_breaks\": {}, \"points_visited\": {}}}",
+                    st.movement_iterations,
+                    st.balance_iterations,
+                    st.distance_evals,
+                    st.hamerly_skips,
+                    st.bbox_breaks,
+                    st.points_visited,
+                );
             }
             let _ = write!(
                 runs,
@@ -279,6 +293,7 @@ fn main() {
          \"gate\": {{\"n\": {}, \"p\": 1, \"repeats\": {REPEATS}, \
          \"kmeans_ns_per_point\": {:.1}, \
          \"assignment_ns_per_point\": {:.1}}},\n  \
+         \"gate_counters\": {gate_counters},\n  \
          \"kernel_reference\": {kernel_json},\n  \
          \"pipeline_reference\": {pipeline_json},\n  \
          \"runs\": [\n{runs}\n  ]\n}}\n",

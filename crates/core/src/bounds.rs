@@ -24,8 +24,15 @@
 //!
 //! The paper's Eqs. (4)–(5) print the opposite signs (they would *tighten*
 //! the bounds on movement, making the skip unsound); see DESIGN.md,
-//! errata 2–3. The property tests in `tests/bound_soundness.rs` verify the
-//! versions here against brute force.
+//! errata 2–3. The property tests below verify the versions here against
+//! brute force.
+//!
+//! The solver does not sweep the bound arrays after an update. It keeps
+//! the refilled [`Relaxation`] pending and the next assignment pass applies
+//! it, through [`Relaxation::relax_point`], to exactly the points it visits,
+//! just before their Hamerly test. That is exact: the active set only
+//! grows, at most one relaxation is pending at a time, and a never-visited
+//! point's `(ub, lb) = (∞, 0)` is a fixed point of every relaxation.
 
 /// Per-cluster relaxation inputs for one update step.
 #[derive(Debug, Clone)]
@@ -96,15 +103,21 @@ impl Relaxation {
         (min_ratio, max_shift)
     }
 
+    /// Relax one point's `(ub, lb)` whose own cluster is `c`; `scalars` is
+    /// [`Relaxation::lb_scalars`], hoisted by the caller.
+    #[inline]
+    pub fn relax_point(&self, scalars: (f64, f64), c: usize, ub: f64, lb: f64) -> (f64, f64) {
+        let (min_ratio, max_shift) = scalars;
+        (ub * self.ratio[c] + self.shift[c], (lb * min_ratio - max_shift).max(0.0))
+    }
+
     /// Relax the bound arrays in place. `assignment[p]` selects the own
     /// cluster of point `p`. Only the first `active` points are touched
     /// (the sampling initialization keeps trailing points inactive).
     pub fn apply(&self, ub: &mut [f64], lb: &mut [f64], assignment: &[u32], active: usize) {
-        let (min_ratio, max_shift) = self.lb_scalars();
+        let scalars = self.lb_scalars();
         for p in 0..active {
-            let c = assignment[p] as usize;
-            ub[p] = ub[p] * self.ratio[c] + self.shift[c];
-            lb[p] = (lb[p] * min_ratio - max_shift).max(0.0);
+            (ub[p], lb[p]) = self.relax_point(scalars, assignment[p] as usize, ub[p], lb[p]);
         }
     }
 }
@@ -156,6 +169,42 @@ mod tests {
         let mut lb = vec![0.5];
         r.apply(&mut ub, &mut lb, &[0], 1);
         assert_eq!(lb[0], 0.0);
+    }
+
+    #[test]
+    fn relax_point_matches_apply_and_fixes_unvisited_bounds() {
+        use geographer_geometry::SplitMix64;
+        let mut rng = SplitMix64::new(7);
+        let k = 4;
+        let n = 50;
+        let assignment: Vec<u32> = (0..n).map(|i| (i % k) as u32).collect();
+        for round in 0..20 {
+            let old: Vec<f64> = (0..k).map(|_| 0.5 + rng.next_f64()).collect();
+            let new: Vec<f64> = (0..k).map(|_| 0.5 + rng.next_f64()).collect();
+            let r = if round % 2 == 0 {
+                Relaxation::influence_only(&old, &new)
+            } else {
+                let delta: Vec<f64> = (0..k).map(|_| rng.next_f64() * 0.1).collect();
+                Relaxation::movement(&delta, &old, &new)
+            };
+            let mut ub: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+            let mut lb: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+            let expect: Vec<(f64, f64)> = (0..n)
+                .map(|p| r.relax_point(r.lb_scalars(), assignment[p] as usize, ub[p], lb[p]))
+                .collect();
+            r.apply(&mut ub, &mut lb, &assignment, n);
+            for p in 0..n {
+                assert_eq!(ub[p].to_bits(), expect[p].0.to_bits(), "ub, point {p}");
+                assert_eq!(lb[p].to_bits(), expect[p].1.to_bits(), "lb, point {p}");
+            }
+            // A never-visited point's bounds pass through unchanged, so a
+            // relaxation deferred until its first visit is exact.
+            for c in 0..k {
+                let (u, l) = r.relax_point(r.lb_scalars(), c, f64::INFINITY, 0.0);
+                assert_eq!(u, f64::INFINITY);
+                assert_eq!(l.to_bits(), 0.0f64.to_bits());
+            }
+        }
     }
 
     /// Brute-force soundness on random perturbations: after relaxing, the

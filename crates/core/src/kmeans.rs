@@ -8,6 +8,8 @@
 //! weighted centroids — matching the blue-marked lines of the paper's
 //! pseudocode.
 
+use std::borrow::Cow;
+
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_parcomm::Comm;
 use rayon::prelude::*;
@@ -33,9 +35,10 @@ pub struct KMeansStats {
     pub bbox_breaks: u64,
     /// Point visits in assignment passes (skipped or not).
     pub points_visited: u64,
-    /// Wall seconds this rank spent inside assignment passes (the kernel
-    /// plus the block-weight accumulation) — the figure the scaling
-    /// benchmark's per-point assignment cost and its perf gate read.
+    /// Wall seconds this rank spent inside assignment passes (the kernel,
+    /// the bound relaxation fused into it, and the block-weight
+    /// accumulation) — the figure the scaling benchmark's per-point
+    /// assignment cost and its perf gate read.
     pub assignment_seconds: f64,
     /// Whether the center-movement loop converged before `max_iterations`.
     pub converged: bool,
@@ -180,6 +183,11 @@ impl KernelScratch {
     }
 }
 
+/// Points per chunk of the serial AoS pass: it stages this many `Eval`s
+/// (512 KiB) before writing them back, so the staging buffer stays in
+/// cache and its size is independent of n.
+const AOS_CHUNK: usize = 16 * 1024;
+
 /// Largest center count for which the kernel computes every effective
 /// distance branch-free (then scans the batch with the pruning skips).
 /// Beyond this the skipped `sqrt`/`div` work outweighs the vectorization
@@ -204,8 +212,12 @@ impl SpanStats {
 
 /// The SPMD solver state for one `balanced_kmeans` call.
 struct Solver<'a, const D: usize> {
-    points: &'a [Point<D>],
-    weights: &'a [f64],
+    /// The rank-local points and weights: a copy in sampling-permutation
+    /// order while sampling rounds run, the caller's slices after that
+    /// (see [`Solver::restore_input_order`]). `assignment`/`ub`/`lb` are
+    /// indexed the same way.
+    points: Cow<'a, [Point<D>]>,
+    weights: Cow<'a, [f64]>,
     k: usize,
     cfg: &'a Config,
     centers: Vec<Point<D>>,
@@ -217,16 +229,17 @@ struct Solver<'a, const D: usize> {
     w_max: f64,
     /// Normalized per-block target weight fractions (uniform = 1/k each).
     fractions: Vec<f64>,
-    /// Reusable output buffer of the AoS assignment pass, pre-sized to the
-    /// local point count: the hot loop writes evaluations into it in place
-    /// (via `collect_into_vec` on the parallel path) instead of allocating
-    /// a fresh result vector every balance iteration.
+    /// Reusable output buffer of the AoS assignment pass, one chunk long:
+    /// the hot loop writes evaluations into it in place (via
+    /// `collect_into_vec` on the parallel path) instead of allocating a
+    /// fresh result vector every balance iteration.
     evals: Vec<Eval>,
     /// Structure-of-arrays copy of the coordinates (`soa[d][i]` ==
-    /// `points[i][d]`), built once per solve when the SoA kernel is on.
+    /// `points[i][d]`), built once per solve, in input order, when the SoA
+    /// kernel is on ([`Solver::build_lanes`]).
     soa: Vec<Vec<f64>>,
     /// Per-block `(lo, hi)` bounding boxes over the identity blocks
-    /// (`[b·SOA_BLOCK, (b+1)·SOA_BLOCK)`), built once per solve —
+    /// (`[b·SOA_BLOCK, (b+1)·SOA_BLOCK)`), built with `soa` —
     /// coordinates never move, so no assignment pass recomputes them.
     block_boxes: Vec<([f64; D], [f64; D])>,
     /// Center shortlist scratch (bbox-sorted order/coords/influence/ids).
@@ -240,6 +253,11 @@ struct Solver<'a, const D: usize> {
     center_sums: Vec<f64>,
     new_centers_buf: Vec<Point<D>>,
     relax: Relaxation,
+    /// Whether `relax` still owes its update to the bounds. The next
+    /// assignment pass applies it to the points it visits, ahead of their
+    /// Hamerly test, and clears the flag; unvisited points hold
+    /// `(ub, lb) = (∞, 0)`, which every relaxation leaves unchanged.
+    relax_pending: bool,
     local_sizes: Vec<f64>,
     global_sizes: Vec<f64>,
     stats: KMeansStats,
@@ -282,12 +300,17 @@ fn scan_batch(
     (best, second, best_c, evals, pruned)
 }
 
-/// One block of the SoA kernel: derive a per-center pruning bound from
-/// the block's precomputed bounding box (`bbox`, built once per solve —
-/// coordinates never move between balance iterations), then scan every
-/// non-skipped point of the block against the (globally bbox-sorted)
-/// center shortlist. `assign`/`ub`/`lb` hold the current values on entry
-/// and the updated values on exit.
+/// The relaxation a pass applies to the points it visits, with its
+/// hoisted [`Relaxation::lb_scalars`]; `None` when the bounds are current.
+type Pending<'a> = Option<(&'a Relaxation, (f64, f64))>;
+
+/// One block of the SoA kernel: apply the pending relaxation to the
+/// block's bounds, derive a per-center pruning bound from the block's
+/// precomputed bounding box (`bbox`, built once per solve — coordinates
+/// never move between balance iterations), then scan every non-skipped
+/// point of the block against the (globally bbox-sorted) center
+/// shortlist. `assign`/`ub`/`lb` hold the current values on entry and the
+/// updated values on exit.
 ///
 /// Bitwise-identical to [`Solver::evaluate_point`]: effective distances
 /// use the same accumulation order, the best/second updates resolve the
@@ -310,6 +333,7 @@ fn process_block<const D: usize>(
     lanes: &[&[f64]; D],
     bbox: &([f64; D], [f64; D]),
     cs: &CenterScratch,
+    relax: Pending<'_>,
     sc: &mut KernelScratch,
     assign: &mut [u32],
     ub: &mut [f64],
@@ -317,6 +341,12 @@ fn process_block<const D: usize>(
     stats: &mut SpanStats,
 ) {
     let blen = assign.len();
+    if let Some((relax, scalars)) = relax {
+        // geo-analyze: hot-loop
+        for i in 0..blen {
+            (ub[i], lb[i]) = relax.relax_point(scalars, assign[i] as usize, ub[i], lb[i]);
+        }
+    }
     let KernelScratch { ebuf, cbound, sidx } = sc;
     let (ebuf, cbound) = (&mut ebuf[..2 * k], &mut cbound[..k]);
     // Center coordinate lanes: `clanes[d][j]` is center j's d-coordinate,
@@ -482,6 +512,7 @@ fn soa_span_identity<const D: usize>(
     soa: &[Vec<f64>],
     boxes: &[([f64; D], [f64; D])],
     cs: &CenterScratch,
+    relax: Pending<'_>,
     off: usize,
     assign: &mut [u32],
     ub: &mut [f64],
@@ -504,6 +535,7 @@ fn soa_span_identity<const D: usize>(
             &lanes,
             &boxes[(off + b) / SOA_BLOCK],
             cs,
+            relax,
             sc,
             &mut assign[b..b + blen],
             &mut ub[b..b + blen],
@@ -515,17 +547,24 @@ fn soa_span_identity<const D: usize>(
     stats
 }
 
-impl<const D: usize> Solver<'_, D> {
-    /// Evaluate one point against the (bbox-sorted) centers.
+impl<'a, const D: usize> Solver<'a, D> {
+    /// Evaluate one point against the (bbox-sorted) centers, after
+    /// applying the pending relaxation (if any) to its bounds.
     /// `sorted`: `(effective distance to local bbox, center id)` ascending.
     #[inline]
-    fn evaluate_point(&self, p: usize, sorted: &[(f64, u32)]) -> Eval {
+    fn evaluate_point(&self, p: usize, sorted: &[(f64, u32)], relax: Pending<'_>) -> Eval {
         let hamerly = self.cfg.hamerly_bounds;
-        if hamerly && self.ub[p] < self.lb[p] {
+        let (ub, lb) = match relax {
+            Some((relax, scalars)) => {
+                relax.relax_point(scalars, self.assignment[p] as usize, self.ub[p], self.lb[p])
+            }
+            None => (self.ub[p], self.lb[p]),
+        };
+        if hamerly && ub < lb {
             return Eval {
                 assignment: self.assignment[p],
-                ub: self.ub[p],
-                lb: self.lb[p],
+                ub,
+                lb,
                 evals: 0,
                 skipped: true,
                 bbox_break: false,
@@ -560,9 +599,8 @@ impl<const D: usize> Solver<'_, D> {
     /// `assignment`/`ub`/`lb` for every point. Only called when the active
     /// list is exactly `0..n_local` (the steady state once sampling has
     /// grown to the full set): coordinate lanes and output arrays are
-    /// sliced directly with no gather/scatter — shuffled sampling rounds
-    /// take the AoS path instead, whose random-access loads are cheaper
-    /// than gathering dimension-major lanes and scattering results back.
+    /// sliced directly with no gather/scatter. Sampling rounds take the
+    /// AoS path instead, over the permutation-order copy of the points.
     fn soa_assignment_pass(&mut self, active: &[u32]) {
         let len = active.len();
         if len == 0 {
@@ -586,6 +624,7 @@ impl<const D: usize> Solver<'_, D> {
         let soa = &self.soa;
         let boxes = &self.block_boxes[..];
         let cs = &self.cscratch;
+        let relax = self.relax_pending.then(|| (&self.relax, self.relax.lb_scalars()));
         let mut total = SpanStats::default();
         debug_assert!(active.first().is_none_or(|&p| p == 0));
         debug_assert_eq!(len, self.assignment.len());
@@ -600,6 +639,7 @@ impl<const D: usize> Solver<'_, D> {
                 soa,
                 boxes,
                 cs,
+                relax,
                 0,
                 assign,
                 ub,
@@ -626,7 +666,7 @@ impl<const D: usize> Solver<'_, D> {
                     let sc = scratch.next().expect("one scratch per span");
                     joins.push(s.spawn(move || {
                         soa_span_identity::<D>(
-                            hamerly, pruning, k, soa, boxes, cs, off, a, u, l, sc,
+                            hamerly, pruning, k, soa, boxes, cs, relax, off, a, u, l, sc,
                         )
                     }));
                     off += take;
@@ -651,14 +691,15 @@ impl<const D: usize> Solver<'_, D> {
         self.global_sizes.resize(k, 0.0);
         self.local_sizes.clear();
         self.local_sizes.resize(k, 0.0);
+        // Bounding box around the active local points (Alg. 1 line 1),
+        // computed once: the points do not move inside a movement iteration.
+        let bb = Aabb::from_points_indexed(&self.points, active);
         for balance_iter in 0..self.cfg.max_balance_iterations {
             self.stats.balance_iterations += 1;
 
-            // Bounding box around the active local points (Alg. 1 line 1);
-            // centers sorted by their *minimum* effective distance to it
-            // (see DESIGN.md erratum 4 — the paper prints maxDist, which
-            // would make the early break unsound).
-            let bb = Aabb::from_points_indexed(self.points, active);
+            // Centers sorted by their *minimum* effective distance to the
+            // active bbox (see DESIGN.md erratum 4 — the paper prints
+            // maxDist, which would make the early break unsound).
             let (centers, influence) = (&self.centers, &self.influence);
             self.cscratch.order.clear();
             self.cscratch.order.extend((0..k as u32).map(|c| {
@@ -691,41 +732,52 @@ impl<const D: usize> Solver<'_, D> {
                 }
             } else {
                 // AoS path: per-point Evals through the solver's reusable
-                // buffer — no per-point allocation. Also serves shuffled
-                // sampling rounds when the SoA kernel is on: random-access
-                // point loads beat gathering lanes + scattering results.
+                // buffer — no per-point allocation. Also serves sampling
+                // rounds when the SoA kernel is on: they run over the
+                // permutation-order copy of the points, which has no lanes.
+                // A point's evaluation reads only its own state, so the
+                // pass may write back chunk by chunk: the serial pass
+                // stages `AOS_CHUNK` evaluations at a time (cache-resident),
+                // the parallel one the whole active set.
                 let use_rayon = self.cfg.parallel_local && active.len() >= 4096;
+                let chunk_len = if use_rayon { active.len() } else { AOS_CHUNK };
                 let mut evals = std::mem::take(&mut self.evals);
-                {
-                    let this: &Solver<'_, D> = self;
-                    let sorted = &this.cscratch.order;
-                    if use_rayon {
-                        active
-                            .par_iter()
-                            .map(|&p| this.evaluate_point(p as usize, sorted))
-                            .collect_into_vec(&mut evals);
-                    } else {
-                        evals.clear();
-                        evals.extend(
-                            active.iter().map(|&p| this.evaluate_point(p as usize, sorted)),
-                        );
-                    }
-                }
-
                 self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-                for (&p, ev) in active.iter().zip(&evals) {
-                    let p = p as usize;
-                    self.assignment[p] = ev.assignment;
-                    self.ub[p] = ev.ub;
-                    self.lb[p] = ev.lb;
-                    self.stats.points_visited += 1;
-                    self.stats.distance_evals += ev.evals as u64;
-                    self.stats.hamerly_skips += u64::from(ev.skipped);
-                    self.stats.bbox_breaks += u64::from(ev.bbox_break);
-                    self.local_sizes[ev.assignment as usize] += self.weights[p];
+                for chunk in active.chunks(chunk_len) {
+                    {
+                        let this: &Solver<'_, D> = self;
+                        let sorted = &this.cscratch.order;
+                        let relax =
+                            this.relax_pending.then(|| (&this.relax, this.relax.lb_scalars()));
+                        if use_rayon {
+                            chunk
+                                .par_iter()
+                                .map(|&p| this.evaluate_point(p as usize, sorted, relax))
+                                .collect_into_vec(&mut evals);
+                        } else {
+                            evals.clear();
+                            evals.extend(
+                                chunk
+                                    .iter()
+                                    .map(|&p| this.evaluate_point(p as usize, sorted, relax)),
+                            );
+                        }
+                    }
+                    for (&p, ev) in chunk.iter().zip(&evals) {
+                        let p = p as usize;
+                        self.assignment[p] = ev.assignment;
+                        self.ub[p] = ev.ub;
+                        self.lb[p] = ev.lb;
+                        self.stats.points_visited += 1;
+                        self.stats.distance_evals += ev.evals as u64;
+                        self.stats.hamerly_skips += u64::from(ev.skipped);
+                        self.stats.bbox_breaks += u64::from(ev.bbox_break);
+                        self.local_sizes[ev.assignment as usize] += self.weights[p];
+                    }
                 }
                 self.evals = evals;
             }
+            self.relax_pending = false;
             self.stats.assignment_seconds += assign_t0.elapsed().as_secs_f64();
 
             // The only communication of the balance loop (Alg. 1 line 31).
@@ -761,8 +813,9 @@ impl<const D: usize> Solver<'_, D> {
                 return;
             }
 
-            // Adapt influences (Eq. 1, corrected) and relax bounds — all
-            // through solver-owned scratch.
+            // Adapt influences (Eq. 1, corrected) and leave the bound
+            // relaxation pending for the next pass — all through
+            // solver-owned scratch.
             self.old_influence.clear();
             self.old_influence.extend_from_slice(&self.influence);
             adapt_influences(
@@ -775,10 +828,49 @@ impl<const D: usize> Solver<'_, D> {
             );
             if self.cfg.hamerly_bounds {
                 self.relax.set_influence_only(&self.old_influence, &self.influence);
-                let n = self.ub.len();
-                self.relax.apply(&mut self.ub, &mut self.lb, &self.assignment, n);
+                self.relax_pending = true;
             }
         }
+    }
+
+    /// Build the SoA coordinate lanes and per-block boxes from the points
+    /// in input order (DESIGN.md §9). A no-op unless the SoA kernel is on.
+    fn build_lanes(&mut self) {
+        if !self.cfg.soa_kernel {
+            return;
+        }
+        let points = &self.points;
+        self.soa = (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect();
+        self.block_boxes = points
+            .chunks(SOA_BLOCK)
+            .map(|blk| {
+                let mut lo = [f64::INFINITY; D];
+                let mut hi = [f64::NEG_INFINITY; D];
+                for p in blk {
+                    for d in 0..D {
+                        lo[d] = lo[d].min(p[d]);
+                        hi[d] = hi[d].max(p[d]);
+                    }
+                }
+                (lo, hi)
+            })
+            .collect();
+    }
+
+    /// End the sampling rounds: drop the permutation-order copies, put the
+    /// per-point state back in input order (`perm[i]` is the input index
+    /// of permuted point `i`), and build the SoA lanes.
+    fn restore_input_order(&mut self, perm: &[u32], points: &'a [Point<D>], weights: &'a [f64]) {
+        self.points = Cow::Borrowed(points);
+        self.weights = Cow::Borrowed(weights);
+        let n = perm.len();
+        let (mut assignment, mut ub, mut lb) = (vec![0u32; n], vec![0.0; n], vec![0.0; n]);
+        for (i, &p) in perm.iter().enumerate() {
+            let p = p as usize;
+            (assignment[p], ub[p], lb[p]) = (self.assignment[i], self.ub[i], self.lb[i]);
+        }
+        (self.assignment, self.ub, self.lb) = (assignment, ub, lb);
+        self.build_lanes();
     }
 
     /// New centers = weighted mean of the active points of each cluster
@@ -899,35 +991,9 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = cfg.delta_threshold * diag;
 
-    // Structure-of-arrays coordinate lanes for the blocked kernel, built
-    // once per solve (DESIGN.md §9).
-    let soa: Vec<Vec<f64>> = if cfg.soa_kernel {
-        (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect()
-    } else {
-        Vec::new()
-    };
-    let block_boxes: Vec<([f64; D], [f64; D])> = if cfg.soa_kernel {
-        points
-            .chunks(SOA_BLOCK)
-            .map(|blk| {
-                let mut lo = [f64::INFINITY; D];
-                let mut hi = [f64::NEG_INFINITY; D];
-                for p in blk {
-                    for d in 0..D {
-                        lo[d] = lo[d].min(p[d]);
-                        hi[d] = hi[d].max(p[d]);
-                    }
-                }
-                (lo, hi)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let mut solver = Solver {
-        points,
-        weights,
+        points: Cow::Borrowed(points),
+        weights: Cow::Borrowed(weights),
         k,
         cfg,
         centers: initial_centers,
@@ -937,11 +1003,12 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         lb: vec![0.0; n_local],
         w_max,
         fractions: cfg.fractions(k),
-        // Shuffled sampling rounds go through the AoS path even when the
-        // SoA kernel is on, so the Eval buffer is always pre-sized.
-        evals: Vec::with_capacity(n_local),
-        soa,
-        block_boxes,
+        // Sampling rounds go through the AoS path even when the SoA kernel
+        // is on, so the Eval buffer is always pre-sized (the parallel pass
+        // grows it once to the largest active set).
+        evals: Vec::with_capacity(AOS_CHUNK.min(n_local)),
+        soa: Vec::new(),
+        block_boxes: Vec::new(),
         cscratch: CenterScratch::default(),
         kscratch: Vec::new(),
         old_influence: Vec::with_capacity(k),
@@ -949,44 +1016,53 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         center_sums: Vec::with_capacity(k * (D + 1)),
         new_centers_buf: Vec::with_capacity(k),
         relax: Relaxation::with_capacity(k),
+        relax_pending: false,
         local_sizes: Vec::with_capacity(k),
         global_sizes: Vec::with_capacity(k),
         stats: KMeansStats::default(),
     };
 
     // Sampling initialization (Sec. 4.5): a random local permutation whose
-    // prefix is the active sample, doubling every movement round. Once the
-    // sample covers every local point the order is restored to the
-    // identity (sorting a permutation yields 0..n): the steady-state
-    // passes then run gather-free over contiguous lanes. Both kernels see
-    // the same active order, so the (order-sensitive) weight and centroid
-    // sums stay bitwise-identical between them.
-    let mut perm: Vec<u32> = (0..n_local as u32).collect();
-    let mut shuffled = false;
-    let mut sample_len = if cfg.sampling_init {
+    // prefix is the active sample, doubling every movement round. While
+    // sampling, the solver holds the points, weights and per-point state
+    // in permutation order, so each pass reads a contiguous prefix instead
+    // of gathering points at random. Once the sample covers every local
+    // point the state goes back to input order, and the steady-state
+    // passes run gather-free over contiguous lanes. Every pass still visits
+    // its sample in permutation order, so the order-sensitive weight and
+    // centroid sums do not depend on the layout, and both kernels see the
+    // same order.
+    let order: Vec<u32> = (0..n_local as u32).collect();
+    let mut perm: Option<Vec<u32>> = None;
+    let mut sample_len = n_local;
+    if cfg.sampling_init {
+        let mut shuffled = order.clone();
         let mut rng = SplitMix64::new(cfg.seed ^ (comm.rank() as u64).wrapping_mul(0xA24B_AED4));
-        rng.shuffle(&mut perm);
-        shuffled = true;
-        cfg.initial_sample.min(n_local)
+        rng.shuffle(&mut shuffled);
+        solver.points = shuffled.iter().map(|&p| points[p as usize]).collect();
+        solver.weights = shuffled.iter().map(|&p| weights[p as usize]).collect();
+        perm = Some(shuffled);
+        sample_len = cfg.initial_sample.min(n_local);
     } else {
-        n_local
-    };
+        solver.build_lanes();
+    }
 
     let mut iterations_left = cfg.max_iterations;
     while iterations_left > 0 {
         iterations_left -= 1;
         solver.stats.movement_iterations += 1;
-        if shuffled && sample_len >= n_local {
-            perm.sort_unstable();
-            shuffled = false;
+        if sample_len >= n_local {
+            if let Some(perm) = perm.take() {
+                solver.restore_input_order(&perm, points, weights);
+            }
         }
-        let active = &perm[..sample_len];
+        let active = &order[..sample_len];
 
         // Everyone must agree whether this is still a sampling round.
         let local_full = u64::from(sample_len >= n_local);
         let all_full = comm.allreduce(local_full, u64::min) == 1;
 
-        solver.assign_and_balance(comm, active, !shuffled);
+        solver.assign_and_balance(comm, active, perm.is_none());
 
         let max_delta = solver.compute_new_centers(comm, active);
 
@@ -1001,8 +1077,9 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
             break;
         }
 
-        // Move centers; erode influences (Eqs. 2–3); relax bounds (Eqs.
-        // 4–5, corrected) — all through solver-owned scratch.
+        // Move centers; erode influences (Eqs. 2–3); leave the bound
+        // relaxation (Eqs. 4–5, corrected) pending for the next pass — all
+        // through solver-owned scratch.
         solver.old_influence.clear();
         solver.old_influence.extend_from_slice(&solver.influence);
         std::mem::swap(&mut solver.centers, &mut solver.new_centers_buf);
@@ -1017,8 +1094,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
                 &solver.old_influence,
                 &solver.influence,
             );
-            let n = solver.ub.len();
-            solver.relax.apply(&mut solver.ub, &mut solver.lb, &solver.assignment, n);
+            solver.relax_pending = true;
         }
 
         if !all_full {
@@ -1028,14 +1104,16 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
     // If the iteration budget ran out mid-sampling, points outside the
     // sample have never been assigned: finish with one full pass (in
-    // identity order — the pass covers everything, so the sample
-    // permutation no longer matters). The decision must be global so the
-    // collectives stay matched.
+    // input order — the pass covers everything, so the sample permutation
+    // no longer matters). The decision must be global so the collectives
+    // stay matched.
     let local_full = u64::from(sample_len >= n_local);
     let all_full = comm.allreduce(local_full, u64::min) == 1;
+    if let Some(perm) = perm.take() {
+        solver.restore_input_order(&perm, points, weights);
+    }
     if !all_full {
-        perm.sort_unstable();
-        solver.assign_and_balance(comm, &perm, true);
+        solver.assign_and_balance(comm, &order, true);
     }
 
     KMeansOutput {
@@ -1139,33 +1217,51 @@ mod tests {
         assert!(max / (total / k as f64) - 1.0 <= cfg.epsilon + 1e-9, "{sizes:?}");
     }
 
-    #[test]
-    fn optimizations_do_not_change_result() {
-        // With bounds/pruning on or off, the algorithm must produce the
-        // *identical* assignment (they are exact optimizations).
+    /// Solve one distributed instance with bounds/pruning on and off; the
+    /// two must agree bitwise on every rank (they are exact
+    /// optimizations), and the optimizations must save evaluations.
+    fn assert_optimizations_exact<const D: usize>(p: usize, sampling: bool) {
         let n = 1500;
-        let pts = uniform_points(n, 6);
+        let pts = family_points::<D>(n, 6, false);
         let w = vec![1.0; n];
         let k = 7;
-        let centers = sfc_like_centers(&pts, k);
-        let base_cfg =
-            Config { sampling_init: false, ..Config::default() };
-        let on = balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &base_cfg);
-        let off = balanced_kmeans(
-            &SelfComm,
-            &pts,
-            &w,
-            k,
-            centers,
-            &Config { hamerly_bounds: false, bbox_pruning: false, ..base_cfg },
-        );
-        assert_eq!(on.assignment, off.assignment);
-        assert!(
-            on.stats.distance_evals < off.stats.distance_evals,
-            "optimizations must save distance evaluations ({} vs {})",
-            on.stats.distance_evals,
-            off.stats.distance_evals
-        );
+        let centers = spread_centers(&pts, k);
+        let on_cfg = Config { sampling_init: sampling, ..Config::default() };
+        let off_cfg = Config { hamerly_bounds: false, bbox_pruning: false, ..on_cfg.clone() };
+        let chunk = n.div_ceil(p);
+        let results = geographer_parcomm::run_spmd(p, |c| {
+            let (lo, hi) = ((c.rank() * chunk).min(n), ((c.rank() + 1) * chunk).min(n));
+            let on = balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &on_cfg);
+            let off =
+                balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &off_cfg);
+            (on, off)
+        });
+        for (r, (on, off)) in results.iter().enumerate() {
+            let tag = format!("D={D} p={p} sampling={sampling} rank={r}");
+            assert_eq!(on.assignment, off.assignment, "{tag}");
+            assert_eq!(on.centers, off.centers, "{tag}");
+            assert_eq!(on.influence, off.influence, "{tag}");
+            assert!(
+                on.stats.distance_evals < off.stats.distance_evals,
+                "{tag}: optimizations must save distance evaluations ({} vs {})",
+                on.stats.distance_evals,
+                off.stats.distance_evals
+            );
+        }
+    }
+
+    #[test]
+    fn optimizations_do_not_change_result() {
+        // Sampling rounds run the AoS kernel over a growing prefix of the
+        // permutation-order copy, with the bound relaxation deferred into
+        // each pass; full rounds run the SoA kernel after the state is put
+        // back in input order. Cover both across D and p.
+        for sampling in [false, true] {
+            for p in [1usize, 4] {
+                assert_optimizations_exact::<2>(p, sampling);
+                assert_optimizations_exact::<3>(p, sampling);
+            }
+        }
     }
 
     #[test]

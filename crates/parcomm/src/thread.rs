@@ -654,17 +654,28 @@ mod tests {
         assert!(results.windows(2).all(|w| w[0] == w[1]));
     }
 
+    /// `stats()` aggregates every rank's cells, and collectives record at
+    /// entry. Fence the snapshot with barriers (which record nothing) so
+    /// that no peer is still short of the previous collective or already
+    /// inside the next one while it is taken.
+    fn quiet_stats(c: &ThreadComm) -> CommStats {
+        c.barrier();
+        let s = c.stats();
+        c.barrier();
+        s
+    }
+
     #[test]
     fn stats_break_down_by_collective() {
         let results = run_spmd(2, |c| {
-            let before = c.stats();
+            let before = quiet_stats(&c);
             let _ = c.allgather(vec![0u64; 4]);
             let mut buf = vec![0.0f64; 4];
             c.allreduce_sum_f64(&mut buf);
             let _ = c.exscan_sum_u64(1);
             let _ = c.broadcast(0, if c.rank() == 0 { Some(3u64) } else { None });
             let _ = c.alltoallv(vec![vec![1u8], vec![2u8]]);
-            c.stats().since(&before)
+            quiet_stats(&c).since(&before)
         });
         let d = results[0];
         assert_eq!(d.ranks, 2);
@@ -688,12 +699,12 @@ mod tests {
         // 2× below the allgather-derived baseline.
         let (p, m) = (8usize, 4096usize);
         let results = run_spmd(p, |c| {
-            let s0 = c.stats();
+            let s0 = quiet_stats(&c);
             let mut buf = vec![1.0f64; m];
             c.allreduce_sum_f64(&mut buf);
-            let s1 = c.stats();
+            let s1 = quiet_stats(&c);
             let _ = c.allgather(vec![1.0f64; m]);
-            let s2 = c.stats();
+            let s2 = quiet_stats(&c);
             (s1.since(&s0), s2.since(&s1))
         });
         let (reduce, gather) = &results[0];
