@@ -95,18 +95,17 @@ const KERNEL_MODULES: &[&str] = &[
     "crates/planner/src/hier_refine.rs",
 ];
 
-/// Files that contain Comm implementations. With a parse in hand, D5
-/// applies inside `impl … Comm for …` blocks and the `Comm` trait
-/// declaration (a panic there strands peers inside collectives —
-/// DESIGN.md §10); without one, the whole file stays in scope as before.
-/// `wire.rs`/`stats.rs` are serialization helpers, not collectives, and
-/// fail-loud on malformed frames by design.
-const PANIC_SCOPE_FILES: &[&str] = &[
-    "crates/parcomm/src/lib.rs",
-    "crates/parcomm/src/thread.rs",
-    "crates/parcomm/src/proc.rs",
-    "crates/parcomm/src/checked.rs",
-];
+/// Whether D5 applies to `path` as a communicator source: every parcomm
+/// source except `wire.rs`/`stats.rs`, which are serialization and counter
+/// helpers, not collectives, and fail loud on malformed frames by design.
+/// With a parse in hand, D5 applies inside `impl … Comm for …` and
+/// `impl … Transport for …` blocks and those two trait declarations (a
+/// panic there strands peers inside collectives — DESIGN.md §10); without
+/// one, the whole file stays in scope.
+fn panic_scope_file(path: &str) -> bool {
+    path.strip_prefix("crates/parcomm/src/")
+        .is_some_and(|f| f.ends_with(".rs") && f != "wire.rs" && f != "stats.rs")
+}
 
 /// Entry points whose closure argument runs as an SPMD rank: D5 applies
 /// inside the call span.
@@ -302,7 +301,7 @@ fn d5_panic_in_spmd(
     parsed: Option<&ParsedFile>,
     out: &mut Vec<Violation>,
 ) {
-    let spans: Vec<(usize, usize)> = if PANIC_SCOPE_FILES.contains(&path) {
+    let spans: Vec<(usize, usize)> = if panic_scope_file(path) {
         match parsed {
             Some(p) => {
                 let mut spans = comm_impl_spans(p);
@@ -341,14 +340,15 @@ fn d5_panic_in_spmd(
 }
 
 /// 0-based line spans (start inclusive, end exclusive) of `impl … Comm
-/// for …` blocks and the `Comm` trait declaration itself (default
-/// collective bodies live there).
+/// for …` and `impl … Transport for …` blocks and the two trait
+/// declarations themselves (default method bodies live there).
 fn comm_impl_spans(parsed: &ParsedFile) -> Vec<(usize, usize)> {
+    let scoped = |name: &str| name == "Comm" || name == "Transport";
     parsed
         .impls
         .iter()
         .filter(|b| {
-            b.trait_name.as_deref() == Some("Comm") || (b.is_trait_decl && b.self_ty == "Comm")
+            b.trait_name.as_deref().is_some_and(scoped) || (b.is_trait_decl && scoped(&b.self_ty))
         })
         .map(|b| (b.start_line.saturating_sub(1), b.end_line))
         .collect()

@@ -72,6 +72,15 @@ fn d5_comm_impl_scope_in_comm_implementation_files() {
 }
 
 #[test]
+fn d5_transport_impl_scope_in_any_parcomm_file() {
+    // Every parcomm source but the wire/stats helpers is in scope, named or
+    // not, and inside it D5 covers `impl … Transport for …` blocks too.
+    let src = include_str!("fixtures/d5_transport_impl.rs");
+    check("crates/parcomm/src/tcp.rs", src, &[(5, "panic-in-spmd")]);
+    check("crates/parcomm/src/wire.rs", src, &[]);
+}
+
+#[test]
 fn d6_wire_kind_table_detected_at_exact_lines() {
     // DATA collides with HELLO and is itself never referenced; UNUSED is
     // never referenced; MISSING is referenced but not declared.

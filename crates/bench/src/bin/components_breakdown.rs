@@ -10,7 +10,7 @@
 use geographer::{partition_spmd, Config};
 use geographer_bench::{scaled, TextTable};
 use geographer_mesh::delaunay_unit_square;
-use geographer_parcomm::run_spmd;
+use geographer_parcomm::{run_spmd, CommStats};
 
 fn main() {
     let n = scaled(60_000);
@@ -44,18 +44,23 @@ fn main() {
             format!("{:.1}", 100.0 * kmeans / total),
             format!("{total:.3}s"),
         ]);
-        // Per-phase communication structure (rank 0's view is global): the
-        // redistribution phase is volume-heavy, k-means is round-heavy.
-        let pc = &results[0].1;
+        // Per-phase communication structure, combined from every rank's
+        // view: the redistribution phase is volume-heavy, k-means is
+        // round-heavy.
+        let job = |phase: fn(&geographer::PhaseComm) -> CommStats| {
+            CommStats::from_rank_views(&results.iter().map(|(_, pc)| phase(pc)).collect::<Vec<_>>())
+        };
+        let (sfc_comm, redist_comm, kmeans_comm) =
+            (job(|pc| pc.sfc_index), job(|pc| pc.redistribute), job(|pc| pc.kmeans));
         eprintln!(
             "  p={p}: comm rounds sfc={} redistribute={} kmeans={} | \
              bytes/rank sfc={} redistribute={} kmeans={}",
-            pc.sfc_index.rounds(),
-            pc.redistribute.rounds(),
-            pc.kmeans.rounds(),
-            pc.sfc_index.bytes_per_rank(),
-            pc.redistribute.bytes_per_rank(),
-            pc.kmeans.bytes_per_rank(),
+            sfc_comm.rounds(),
+            redist_comm.rounds(),
+            kmeans_comm.rounds(),
+            sfc_comm.bytes_per_rank(),
+            redist_comm.bytes_per_rank(),
+            kmeans_comm.bytes_per_rank(),
         );
     }
     table.print();

@@ -1047,6 +1047,9 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         solver.build_lanes();
     }
 
+    // Whether the last executed pass covered every local point on every
+    // rank (`max_iterations ≥ 1`, so at least one pass runs).
+    let mut all_full = false;
     let mut iterations_left = cfg.max_iterations;
     while iterations_left > 0 {
         iterations_left -= 1;
@@ -1060,7 +1063,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
         // Everyone must agree whether this is still a sampling round.
         let local_full = u64::from(sample_len >= n_local);
-        let all_full = comm.allreduce(local_full, u64::min) == 1;
+        all_full = comm.allreduce(local_full, u64::min) == 1;
 
         solver.assign_and_balance(comm, active, perm.is_none());
 
@@ -1102,13 +1105,13 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         }
     }
 
-    // If the iteration budget ran out mid-sampling, points outside the
-    // sample have never been assigned: finish with one full pass (in
-    // input order — the pass covers everything, so the sample permutation
-    // no longer matters). The decision must be global so the collectives
-    // stay matched.
-    let local_full = u64::from(sample_len >= n_local);
-    let all_full = comm.allreduce(local_full, u64::min) == 1;
+    // If the iteration budget ran out before a pass covered every point,
+    // points outside the last sample have never been assigned: finish with
+    // one full pass (in input order — the pass covers everything, so the
+    // sample permutation no longer matters). The last pass's `all_full`
+    // is already global, so the collectives stay matched. The sample may
+    // have grown to full size after that pass; its new points still need
+    // this one.
     if let Some(perm) = perm.take() {
         solver.restore_input_order(&perm, points, weights);
     }
@@ -1147,6 +1150,38 @@ mod tests {
         let out = balanced_kmeans(&SelfComm, &pts, &w, 1, vec![pts[0]], &Config::default());
         assert!(out.assignment.iter().all(|&b| b == 0));
         assert_eq!(out.stats.final_imbalance, 0.0);
+    }
+
+    #[test]
+    fn reported_imbalance_matches_the_returned_assignment_when_the_budget_runs_out() {
+        // Budgets that end in every phase of the sample doubling,
+        // including the iteration whose doubling first covers every point:
+        // the points that doubling adds must still be assigned (n = 400,
+        // initial_sample 100, max_iterations 2 once left them in block 0).
+        let k = 4;
+        for n in [400usize, 1000] {
+            let pts = uniform_points(n, 7);
+            let w = vec![1.0; n];
+            for initial_sample in [50usize, 100] {
+                for max_iterations in 1..=8 {
+                    let cfg = Config { initial_sample, max_iterations, ..Config::default() };
+                    let out =
+                        balanced_kmeans(&SelfComm, &pts, &w, k, sfc_like_centers(&pts, k), &cfg);
+                    let mut sizes = vec![0.0; k];
+                    for &b in &out.assignment {
+                        sizes[b as usize] += 1.0;
+                    }
+                    let max = sizes.iter().cloned().fold(0.0, f64::max);
+                    let imbalance = (max / (n as f64 / k as f64) - 1.0).max(0.0);
+                    assert!(
+                        (out.stats.final_imbalance - imbalance).abs() <= 1e-9,
+                        "n={n} initial_sample={initial_sample} max_iterations={max_iterations}: \
+                         reported {} but sizes {sizes:?} give {imbalance}",
+                        out.stats.final_imbalance
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct PipelineResult<const D: usize> {
     pub timings: PipelineTimings,
     /// k-means work counters for this rank.
     pub stats: KMeansStats,
-    /// Communication counters accumulated during the timed phases.
+    /// This rank's communication counters over the timed phases.
     pub comm_stats: CommStats,
     /// The same counters broken down by pipeline phase.
     pub phase_comm: PhaseComm,
@@ -154,13 +154,10 @@ impl<const D: usize> Wire for Tagged<D> {
     }
 }
 
-/// Phase-boundary counter snapshot. Collectives record their counters at
-/// entry, so without synchronization a fast rank could enter the next
-/// phase's first collective while a slow rank is still reading the
-/// boundary snapshot, misattributing bytes between phases. The barrier
-/// pair makes the snapshot a consistent cut: after the first barrier every
-/// rank has finished the previous phase, and no rank proceeds past the
-/// second until everyone has read.
+/// Phase-boundary counter snapshot of this rank's counters. The barrier
+/// pair lines the ranks up at the boundary: every rank has finished the
+/// previous phase before any rank starts the next phase's timer, so no
+/// rank's wait for a slower peer is charged to the following phase.
 pub(crate) fn phase_snapshot<C: Comm>(comm: &C) -> CommStats {
     comm.barrier();
     let s = comm.stats();

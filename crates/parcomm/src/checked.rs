@@ -27,7 +27,7 @@
 //! not for the bench hot path. What the digest cannot catch: a rank that
 //! simply *stops* calling collectives (returns early) — that remains the
 //! backends' liveness problem (EOF detection / the parent deadline on
-//! processes, barrier poisoning on threads — DESIGN.md §10).
+//! processes, communicator poisoning on threads — DESIGN.md §10).
 
 use std::cell::{Cell, RefCell};
 

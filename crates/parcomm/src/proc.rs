@@ -1,11 +1,11 @@
-//! Processes-as-ranks communicator: the real-wires SPMD backend.
+//! Processes-as-ranks transport: the real-wires SPMD backend.
 //!
 //! [`run_spmd_proc`] forks `p` worker **OS processes** and runs the same
 //! closure on all of them, exactly like [`run_spmd`](crate::run_spmd) does
-//! with threads — except nothing is shared: every collective payload
-//! crosses a process boundary through Unix-domain sockets, so the α–β
-//! numbers the substrate reports can be *measured* against real kernel
-//! round-trips instead of modeled from counters alone.
+//! with threads — except nothing is shared: every message crosses a
+//! process boundary through Unix-domain sockets, so the α–β numbers the
+//! substrate reports can be *measured* against real kernel round-trips
+//! instead of modeled from counters alone.
 //!
 //! The substrate has three layers:
 //!
@@ -21,13 +21,11 @@
 //!   counter: because SPMD ranks issue collectives in identical order, a
 //!   mismatch means the streams desynchronized and the worker fails loudly
 //!   instead of deserializing garbage. Payloads are [`Wire`]-encoded.
-//! * **Collectives** — the *same algorithms* as
-//!   [`ThreadComm`](crate::ThreadComm): recursive-doubling (butterfly)
-//!   reductions with the identical rank-ordered combine tree, the
-//!   Hillis–Steele exscan, root-sends broadcast, and ring
-//!   allgather/alltoallv. Reduction trees being identical makes results
-//!   **bitwise-equal** to the thread backend at the same `p`, which is
-//!   what the cross-backend conformance suite pins.
+//! * **Transport** — [`ProcComm`] implements [`Transport`]: `send`,
+//!   `recv` and `sendrecv` of one encoded frame. The collectives on top
+//!   are the [engine](crate::engine)'s, the same code the thread backend
+//!   runs, so results are **bitwise-equal** to the thread backend at the
+//!   same `p` by construction, and so are the per-rank counters.
 //!
 //! Failure semantics (the part a shared-memory simulation cannot give
 //! you): a rank that panics reports through its control socket and exits;
@@ -44,12 +42,6 @@
 //! rank-ordered rendezvous (lower rank writes first while the higher rank
 //! drains), and larger ring steps overlap the write on a scoped thread —
 //! the same eager/rendezvous split real MPI implementations use.
-//!
-//! Unlike `ThreadComm`, a process cannot read its peers' counters without
-//! more communication, so [`ProcComm::stats`] reports *this rank's* view
-//! (`ranks = 1`): `bytes_per_rank()` is then exactly this rank's received
-//! volume — the quantity the α–β model multiplies by β — and `rounds`
-//! are identical on every rank by the SPMD contract.
 
 #![cfg(unix)]
 
@@ -61,9 +53,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::stats::{Collective, CommStats, StatsCell};
+use crate::engine::{Tag, Transport};
+use crate::stats::{Collective, StatsCell};
 use crate::wire::{from_wire, to_wire, Wire};
-use crate::Comm;
 
 /// Largest frame payload written eagerly (before reading): must stay
 /// comfortably under the kernel's default Unix-socket buffer so an eager
@@ -330,18 +322,14 @@ impl ProcComm {
         s
     }
 
-    fn record(&self, kindc: Collective, rounds: u64, received_bytes: u64) {
-        self.stats.record(kindc, rounds, received_bytes);
-    }
-
-    fn send(&self, to: usize, k: u8, seq: u64, payload: &[u8]) {
+    fn send_frame(&self, to: usize, k: u8, seq: u64, payload: &[u8]) {
         frame::write(self.peer(to), k, seq, payload).unwrap_or_else(|e| {
             // Deliberate fail-loud abort — a wire fault means a peer died; the parent reports a ProcError (DESIGN.md §10).
             panic!("rank {}: send to rank {to} failed (kind {k}, seq {seq}): {e}", self.rank)
         });
     }
 
-    fn recv(&self, from: usize, k: u8, seq: u64) -> Vec<u8> {
+    fn recv_frame(&self, from: usize, k: u8, seq: u64) -> Vec<u8> {
         frame::read(self.peer(from), k, seq).unwrap_or_else(|e| {
             let why = if e.kind() == io::ErrorKind::UnexpectedEof {
                 "peer hung up mid-collective (rank died?)".to_string()
@@ -359,112 +347,36 @@ impl ProcComm {
     /// block forever against a full socket buffer.
     fn exchange(&self, peer: usize, k: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
         if payload.len() <= EAGER_MAX || self.rank < peer {
-            self.send(peer, k, seq, payload);
-            self.recv(peer, k, seq)
+            self.send_frame(peer, k, seq, payload);
+            self.recv_frame(peer, k, seq)
         } else {
-            let got = self.recv(peer, k, seq);
-            self.send(peer, k, seq, payload);
+            let got = self.recv_frame(peer, k, seq);
+            self.send_frame(peer, k, seq, payload);
             got
         }
     }
 
-    /// Ring step: send `payload` to `to` while receiving from `from`
-    /// (`to != from` in general). Large payloads overlap the write on a
-    /// scoped thread because a ring of blocking writes can cycle.
-    fn sendrecv(&self, to: usize, k: u8, seq: u64, payload: &[u8], from: usize) -> Vec<u8> {
+    /// Send `payload` to `to` while receiving from `from` (a ring step, or
+    /// a pairwise exchange when `to == from`). Large payloads overlap the
+    /// write on a scoped thread because a ring of blocking writes can
+    /// cycle.
+    fn sendrecv_frame(&self, to: usize, k: u8, seq: u64, payload: &[u8], from: usize) -> Vec<u8> {
         if payload.len() <= EAGER_MAX {
-            self.send(to, k, seq, payload);
-            self.recv(from, k, seq)
+            self.send_frame(to, k, seq, payload);
+            self.recv_frame(from, k, seq)
         } else {
             let to_stream = self.peer(to);
             let me = self.rank;
             std::thread::scope(|sc| {
                 sc.spawn(move || {
                     frame::write(to_stream, k, seq, payload).unwrap_or_else(|e| {
-                        // Deliberate fail-loud abort — same dead-peer policy as send() (DESIGN.md §10).
+                        // Deliberate fail-loud abort — same dead-peer policy as send_frame() (DESIGN.md §10).
                         panic!("rank {me}: send to rank {to} failed (kind {k}, seq {seq}): {e}")
                     });
                 });
-                self.recv(from, k, seq)
+                self.recv_frame(from, k, seq)
             })
         }
-    }
-
-    /// Recursive-doubling butterfly with the **identical** fold/unfold
-    /// schedule and rank-ordered combine tree as
-    /// [`ThreadComm`](crate::ThreadComm) — see `thread.rs` — so reductions
-    /// are bitwise-equal across backends at the same `p`.
-    fn butterfly<T, F>(&self, kindc: Collective, k: u8, value: T, combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        let p = self.size;
-        if p == 1 {
-            self.record(kindc, 0, 0);
-            return value;
-        }
-        let seq = self.next_seq();
-        let r = self.rank;
-        let q = prev_power_of_two(p);
-        let extra = p - q;
-        let log_q = q.trailing_zeros() as u64;
-        let rounds = log_q + if extra > 0 { 2 } else { 0 };
-        let mut received = 0u64;
-        let mut acc = value;
-
-        // Fold step: ranks q..p send their contribution to rank r−q.
-        if extra > 0 {
-            if r >= q {
-                self.send(r - q, k, seq, &to_wire(&acc));
-            } else if r < extra {
-                let bytes = self.recv(r + q, k, seq);
-                received += bytes.len() as u64;
-                let theirs = from_wire::<T>(&bytes);
-                acc = combine(acc, theirs);
-            }
-        }
-
-        // Butterfly among ranks 0..q.
-        let mut gap = 1;
-        while gap < q {
-            if r < q {
-                let partner = r ^ gap;
-                let bytes = self.exchange(partner, k, seq, &to_wire(&acc));
-                received += bytes.len() as u64;
-                let theirs = from_wire::<T>(&bytes);
-                acc = if partner < r { combine(theirs, acc) } else { combine(acc, theirs) };
-            }
-            gap <<= 1;
-        }
-
-        // Unfold step: ranks 0..extra hand the result back to r+q.
-        if extra > 0 {
-            if r < extra {
-                self.send(r + q, k, seq, &to_wire(&acc));
-            } else if r >= q {
-                let bytes = self.recv(r - q, k, seq);
-                received += bytes.len() as u64;
-                acc = from_wire::<T>(&bytes);
-            }
-        }
-        self.record(kindc, rounds, received);
-        acc
-    }
-
-    /// Element-wise butterfly reduction of a slice, in place.
-    fn butterfly_slice<T, F>(&self, kindc: Collective, k: u8, buf: &mut [T], op: F)
-    where
-        T: Wire + Copy,
-        F: Fn(T, T) -> T,
-    {
-        let out = self.butterfly(kindc, k, buf.to_vec(), |mut lower, higher| {
-            for (x, t) in lower.iter_mut().zip(higher) {
-                *x = op(*x, t);
-            }
-            lower
-        });
-        buf.copy_from_slice(&out);
     }
 
     /// Raw pairwise exchange with rank `rank ^ 1`, outside the collective
@@ -478,13 +390,18 @@ impl ProcComm {
     }
 }
 
-/// Largest power of two `≤ n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
+/// The frame kind of a collective's messages.
+fn frame_kind(c: Collective) -> u8 {
+    match c {
+        Collective::Allgather => kind::ALLGATHER,
+        Collective::Allreduce => kind::ALLREDUCE,
+        Collective::Broadcast => kind::BROADCAST,
+        Collective::Exscan => kind::EXSCAN,
+        Collective::Alltoallv => kind::ALLTOALLV,
+    }
 }
 
-impl Comm for ProcComm {
+impl Transport for ProcComm {
     fn rank(&self) -> usize {
         self.rank
     }
@@ -495,165 +412,37 @@ impl Comm for ProcComm {
 
     fn barrier(&self) {
         // Dissemination barrier: ⌈log₂ p⌉ rounds of 0-byte frames; rank r
-        // talks to r±gap for doubling gaps. Like ThreadComm's barrier it
-        // records no stats.
+        // talks to r±gap for doubling gaps. It records no stats.
         let p = self.size;
-        if p == 1 {
-            return;
-        }
         let seq = self.next_seq();
         let mut gap = 1;
         while gap < p {
             let to = (self.rank + gap) % p;
             let from = (self.rank + p - gap) % p;
-            let _ = self.sendrecv(to, kind::BARRIER, seq, &[], from);
+            let _ = self.sendrecv_frame(to, kind::BARRIER, seq, &[], from);
             gap <<= 1;
         }
     }
 
-    fn allgather<T: Wire>(&self, local: Vec<T>) -> Vec<Vec<T>> {
-        let p = self.size;
-        if p == 1 {
-            self.record(Collective::Allgather, 0, 0);
-            return vec![local];
-        }
-        let seq = self.next_seq();
-        let bytes = to_wire(&local);
-        let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        out[self.rank] = Some(local);
-        let mut received = 0u64;
-        // Ring: step d sends own vector to r+d and receives rank (r−d)'s.
-        for d in 1..p {
-            let to = (self.rank + d) % p;
-            let from = (self.rank + p - d) % p;
-            let got = self.sendrecv(to, kind::ALLGATHER, seq, &bytes, from);
-            received += got.len() as u64;
-            out[from] = Some(from_wire::<Vec<T>>(&got));
-        }
-        // p−1 transfer steps: the wire really does p−1 serialized rounds
-        // where the shared-memory backend deposits once (1 round).
-        self.record(Collective::Allgather, (p - 1) as u64, received);
-        // geo-analyze: allow(panic-in-spmd): infallible — the d-loop visits every from-rank exactly once.
-        out.into_iter().map(|v| v.expect("ring filled every slot")).collect()
+    fn open(&self, kind: Collective) -> Tag {
+        Tag { kind, seq: self.next_seq() }
     }
 
-    fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let p = self.size;
-        assert_eq!(sends.len(), p, "one send buffer per rank");
-        if p == 1 {
-            self.record(Collective::Alltoallv, 0, 0);
-            return sends;
-        }
-        let seq = self.next_seq();
-        let mut sends = sends;
-        let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        out[self.rank] = Some(std::mem::take(&mut sends[self.rank]));
-        let mut received = 0u64;
-        for d in 1..p {
-            let to = (self.rank + d) % p;
-            let from = (self.rank + p - d) % p;
-            let payload = to_wire(&sends[to]);
-            let got = self.sendrecv(to, kind::ALLTOALLV, seq, &payload, from);
-            received += got.len() as u64;
-            out[from] = Some(from_wire::<Vec<T>>(&got));
-        }
-        self.record(Collective::Alltoallv, (p - 1) as u64, received);
-        // geo-analyze: allow(panic-in-spmd): infallible — the d-loop visits every from-rank exactly once.
-        out.into_iter().map(|v| v.expect("ring filled every slot")).collect()
+    fn send<V: Wire>(&self, to: usize, tag: Tag, value: V) {
+        self.send_frame(to, frame_kind(tag.kind), tag.seq, &to_wire(&value));
     }
 
-    fn allreduce<T, F>(&self, value: T, combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        self.butterfly(Collective::Allreduce, kind::ALLREDUCE, value, combine)
+    fn recv<V: Wire>(&self, from: usize, tag: Tag) -> V {
+        from_wire(&self.recv_frame(from, frame_kind(tag.kind), tag.seq))
     }
 
-    fn allreduce_sum_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, |a, b| a + b);
+    fn sendrecv<V: Wire>(&self, to: usize, tag: Tag, value: V, from: usize) -> V {
+        let got = self.sendrecv_frame(to, frame_kind(tag.kind), tag.seq, &to_wire(&value), from);
+        from_wire(&got)
     }
 
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, f64::max);
-    }
-
-    fn allreduce_min_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, f64::min);
-    }
-
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, |a, b| {
-            a.wrapping_add(b)
-        });
-    }
-
-    fn exscan_sum_u64(&self, value: u64) -> u64 {
-        // Hillis–Steele distributed scan, identical round structure and
-        // accumulation order to ThreadComm's.
-        let p = self.size;
-        if p == 1 {
-            self.record(Collective::Exscan, 0, 0);
-            return 0;
-        }
-        let seq = self.next_seq();
-        let r = self.rank;
-        let rounds = usize::BITS as u64 - (p - 1).leading_zeros() as u64;
-        let mut received = 0u64;
-        let mut exclusive = 0u64;
-        let mut inclusive = value;
-        let mut gap = 1;
-        while gap < p {
-            // Downstream send first (the sends form a DAG toward higher
-            // ranks, so blocking writes cannot cycle), then receive.
-            if r + gap < p {
-                self.send(r + gap, kind::EXSCAN, seq, &to_wire(&inclusive));
-            }
-            if r >= gap {
-                let bytes = self.recv(r - gap, kind::EXSCAN, seq);
-                received += bytes.len() as u64;
-                let theirs = from_wire::<u64>(&bytes);
-                exclusive += theirs;
-                inclusive += theirs;
-            }
-            gap <<= 1;
-        }
-        self.record(Collective::Exscan, rounds, received);
-        exclusive
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        debug_assert!(root < self.size);
-        if self.size == 1 {
-            self.record(Collective::Broadcast, 0, 0);
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            return value.expect("root must supply a value");
-        }
-        let seq = self.next_seq();
-        if self.rank == root {
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            let v = value.expect("root must supply a value");
-            let bytes = to_wire(&v);
-            for s in 0..self.size {
-                if s != root {
-                    self.send(s, kind::BROADCAST, seq, &bytes);
-                }
-            }
-            self.record(Collective::Broadcast, 1, 0);
-            v
-        } else {
-            let bytes = self.recv(root, kind::BROADCAST, seq);
-            self.record(Collective::Broadcast, 1, bytes.len() as u64);
-            from_wire::<T>(&bytes)
-        }
-    }
-
-    /// This rank's counters, as a per-rank view (`ranks = 1`): a process
-    /// cannot observe its peers' cells without extra communication, and
-    /// the per-rank received volume is exactly what the β term of the
-    /// cost model needs.
-    fn stats(&self) -> CommStats {
-        CommStats::aggregate(1, std::slice::from_ref(&self.stats))
+    fn with_stats<R>(&self, f: impl FnOnce(&StatsCell) -> R) -> R {
+        f(&self.stats)
     }
 }
 
@@ -929,7 +718,8 @@ pub fn measure_alpha_beta(reps: usize) -> Result<MeasuredAlphaBeta, ProcError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{measure_alpha_beta, run_spmd_proc, ProcError};
+    use crate::{Collective, Comm, CommStats};
 
     #[test]
     fn proc_allreduce_sum_matches_serial() {
@@ -944,32 +734,66 @@ mod tests {
         }
     }
 
+    /// Every collective kind once, on shapes that stress the schedules:
+    /// non-associative f64 sums, uneven and empty allgather contributions,
+    /// empty alltoallv buffers, a non-zero broadcast root. Floats come back
+    /// as their bits, with this rank's counters for the whole sequence.
+    #[allow(clippy::type_complexity)]
+    fn every_collective<C: Comm>(
+        c: &C,
+    ) -> ((Vec<u64>, Vec<u64>, Vec<u64>), (Vec<u64>, (u64, u64), u64), (Vec<Vec<u32>>, Vec<Vec<u16>>, Vec<u64>), CommStats)
+    {
+        let (p, r) = (c.size(), c.rank());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let before = c.stats();
+        let mut sum: Vec<f64> = (0..9).map(|i| 0.1 * (r * 13 + i) as f64).collect();
+        c.allreduce_sum_f64(&mut sum);
+        let mut max: Vec<f64> = (0..3).map(|i| (r as f64 - i as f64) * 0.3).collect();
+        c.allreduce_max_f64(&mut max);
+        let mut min = max.iter().map(|x| -x * 1.7).collect::<Vec<f64>>();
+        c.allreduce_min_f64(&mut min);
+        let mut counts = vec![r as u64, u64::MAX - r as u64, 1];
+        c.allreduce_sum_u64(&mut counts);
+        let (top, total) = c.allreduce((((r * 7) % p) as u64, 0.1 * r as f64 + 0.3), |a, b| {
+            (a.0.max(b.0), a.1 + b.1)
+        });
+        let ex = c.exscan_sum_u64(r as u64 + 3);
+        let gathered = c.allgather(vec![r as u32; (r * 3) % 4]);
+        let sends = (0..p)
+            .map(|d| if (r + d) % 2 == 0 { Vec::new() } else { vec![(100 * r + d) as u16; d] })
+            .collect();
+        let routed = c.alltoallv(sends);
+        let root = p - 1;
+        let bcast = c.broadcast(root, (r == root).then(|| vec![7u64, 8, 9]));
+        (
+            (bits(&sum), bits(&max), bits(&min)),
+            (counts, (top, total.to_bits()), ex),
+            (gathered, routed, bcast),
+            c.stats().since(&before),
+        )
+    }
+
     #[test]
     fn proc_collectives_match_thread_comm_bitwise() {
-        // Same reduction tree ⇒ bitwise-identical non-associative sums,
-        // power-of-two and non-power-of-two rank counts alike.
-        for p in [2usize, 3, 5] {
-            let thread = crate::run_spmd(p, |c| {
-                let mut buf: Vec<f64> =
-                    (0..9).map(|i| 0.1 * (c.rank() * 13 + i) as f64).collect();
-                c.allreduce_sum_f64(&mut buf);
-                (buf, c.exscan_sum_u64(c.rank() as u64 + 3))
-            });
-            let procs = run_spmd_proc(p, |c| {
-                let mut buf: Vec<f64> =
-                    (0..9).map(|i| 0.1 * (c.rank() * 13 + i) as f64).collect();
-                c.allreduce_sum_f64(&mut buf);
-                (buf, c.exscan_sum_u64(c.rank() as u64 + 3))
-            })
-            .expect("job runs");
-            for (t, q) in thread.iter().zip(&procs) {
-                assert_eq!(
-                    t.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    q.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "p={p}: backends disagree bitwise"
-                );
-                assert_eq!(t.1, q.1, "p={p}: exscan disagrees");
+        // One engine under both transports: bitwise-identical results and
+        // identical per-rank counters, power-of-two and non-power-of-two
+        // rank counts alike.
+        for p in [1usize, 2, 3, 5] {
+            let thread = crate::run_spmd(p, |c| every_collective(&c));
+            let procs = run_spmd_proc(p, |c| every_collective(&c)).expect("job runs");
+            assert_eq!(thread.len(), p);
+            for (r, (t, q)) in thread.iter().zip(&procs).enumerate() {
+                assert_eq!(t.0, q.0, "p={p} rank {r}: f64 reductions disagree bitwise");
+                assert_eq!(t.1, q.1, "p={p} rank {r}: u64/generic reductions or exscan disagree");
+                assert_eq!(t.2, q.2, "p={p} rank {r}: allgather/alltoallv/broadcast disagree");
+                assert_eq!(t.3, q.3, "p={p} rank {r}: per-rank counters disagree");
+                assert_eq!(t.3.collectives(), 9);
+                assert_eq!(t.1 .2, (0..r as u64).map(|s| s + 3).sum::<u64>());
+                assert_eq!(t.2 .2, vec![7, 8, 9]);
             }
+            // Ring allgather and alltoallv take p−1 steps on every backend.
+            let rounds = thread[0].3.op(Collective::Allgather).rounds;
+            assert_eq!(rounds, p as u64 - 1, "p={p}");
         }
     }
 
@@ -1080,8 +904,9 @@ mod tests {
         .expect("job runs");
         for (rounds, bytes) in results {
             assert_eq!(rounds, 1, "p=2 butterfly is one round");
-            // Serialized Vec<f64> of 4 elements: 8-byte length + 32 bytes.
-            assert_eq!(bytes, 40);
+            // Four f64 payload elements; the frame's length prefix is not
+            // counted.
+            assert_eq!(bytes, 32);
         }
     }
 

@@ -1,25 +1,38 @@
 //! Per-collective communication counters.
 //!
-//! Every rank of a `ThreadComm` records, for each collective *kind*, how
-//! many operations it entered, how many synchronization rounds those
-//! operations took, and how many payload bytes the rank *received*. The
-//! scaling experiments diff two [`CommStats`] snapshots around a phase and
-//! feed the result into an α–β cost model (latency per round + inverse
-//! bandwidth per received byte), mirroring how the paper attributes its
-//! running time to communication vs. computation (DESIGN.md §3).
+//! Every rank records, for each collective *kind*, how many operations it
+//! entered, how many communication rounds those operations took, and how
+//! many payload bytes the rank *received*. The collective engine does the
+//! recording, with one rule on every transport, so a rank's counters are
+//! the same whichever backend ran it. The scaling experiments diff two
+//! [`CommStats`] snapshots around a phase and feed the result into an α–β
+//! cost model (latency per round + inverse bandwidth per received byte),
+//! mirroring how the paper attributes its running time to communication
+//! vs. computation (DESIGN.md §3).
+//!
+//! A communicator's [`stats`](crate::Comm::stats) is *this rank's* view
+//! (`ranks = 1`): a rank never reads its peers' cells, so a snapshot can
+//! never race a peer that is still inside (or already past) a collective.
+//! [`CommStats::from_rank_views`] combines the ranks' views into one
+//! job-wide view.
 //!
 //! Semantics of the three counters per [`Collective`] kind:
 //!
 //! * `ops` — logical collective calls (counted once per call, not once per
 //!   rank; in an SPMD program every rank enters the same calls).
-//! * `rounds` — barrier-synchronized communication steps. A recursive
-//!   doubling allreduce on `p` ranks is one op of `⌈log₂ p⌉` rounds; an
-//!   allgather or single-deposit broadcast is one op of one round. The α
-//!   (latency) term of the cost model multiplies *rounds*, not ops.
-//! * `bytes` — payload bytes received, summed over all ranks. Sizes are
-//!   shallow (`size_of::<T>()` per element); heap payloads inside elements
-//!   are not followed. The β (bandwidth) term divides by the rank count to
-//!   get the per-rank volume that bounds the parallel time.
+//! * `rounds` — communication steps of the call's schedule, the same on
+//!   every rank: a recursive-doubling allreduce on `p` ranks is one op of
+//!   `log₂ q` rounds for the largest power of two `q ≤ p` (two more when
+//!   `p ≠ q`), a ring
+//!   allgather or alltoallv is one op of `p−1` rounds, a broadcast one op
+//!   of one round. The α (latency) term of the cost model multiplies
+//!   *rounds*, not ops.
+//! * `bytes` — payload bytes received, by [`Wire::payload_bytes`]: the
+//!   shallow size of each received value, per element for a vector; heap
+//!   payloads inside elements are not followed, and no transport's framing
+//!   or encoding is counted. A job-wide view sums them over ranks; the β
+//!   (bandwidth) term divides by the rank count to get the per-rank volume
+//!   that bounds the parallel time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,8 +100,7 @@ impl OpStats {
     }
 }
 
-/// One rank's monotone counters (each rank of a communicator owns one cell
-/// and only ever writes its own; snapshots read all cells).
+/// One rank's monotone counters.
 #[derive(Debug, Default)]
 pub struct StatsCell {
     ops: [AtomicU64; COLLECTIVE_KINDS],
@@ -116,6 +128,11 @@ impl StatsCell {
             bytes: self.bytes[i].load(Ordering::Relaxed),
         }
     }
+
+    /// This rank's view of every kind (`ranks = 1`).
+    pub fn snapshot(&self) -> CommStats {
+        CommStats { ranks: 1, per_op: Collective::ALL.map(|kind| self.op_snapshot(kind)) }
+    }
 }
 
 /// A point-in-time view of a communicator's counters, broken down by
@@ -131,29 +148,15 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Combine per-rank snapshots (`ranks == 1` views, as the process
-    /// backend returns from each worker) into one job-wide view with the
-    /// same convention as [`CommStats::aggregate`]: logical op/round
-    /// counts from rank 0, received bytes summed over all ranks.
+    /// Combine the ranks' own views (`ranks == 1`, as every communicator's
+    /// [`stats`](crate::Comm::stats) returns them) into one job-wide view:
+    /// logical op/round counts from rank 0 (identical on every rank by the
+    /// SPMD contract), received bytes summed over all ranks.
     pub fn from_rank_views(views: &[CommStats]) -> CommStats {
         assert!(!views.is_empty(), "need at least one rank view");
         let mut out = CommStats { ranks: views.len() as u64, per_op: views[0].per_op };
         for i in 0..COLLECTIVE_KINDS {
             out.per_op[i].bytes = views.iter().map(|v| v.per_op[i].bytes).sum();
-        }
-        out
-    }
-
-    /// Aggregate the per-rank cells of one communicator: logical op/round
-    /// counts are taken from rank 0 (identical on every rank by the SPMD
-    /// contract), received bytes are summed over all ranks.
-    pub fn aggregate(ranks: usize, cells: &[StatsCell]) -> CommStats {
-        let mut out = CommStats { ranks: ranks as u64, per_op: Default::default() };
-        for (i, kind) in Collective::ALL.into_iter().enumerate() {
-            let lead = cells[0].op_snapshot(kind);
-            out.per_op[i].ops = lead.ops;
-            out.per_op[i].rounds = lead.rounds;
-            out.per_op[i].bytes = cells.iter().map(|c| c.op_snapshot(kind).bytes).sum();
         }
         out
     }
@@ -251,7 +254,7 @@ mod tests {
         let cells = [StatsCell::default(), StatsCell::default()];
         cells[0].record(Collective::Allgather, 1, 32);
         cells[1].record(Collective::Allgather, 1, 32);
-        let s = CommStats::aggregate(2, &cells);
+        let s = CommStats::from_rank_views(&[cells[0].snapshot(), cells[1].snapshot()]);
         assert_eq!(s.ranks, 2);
         assert_eq!(s.op(Collective::Allgather), OpStats { ops: 1, rounds: 1, bytes: 64 });
         assert_eq!(s.collectives(), 1);
@@ -295,10 +298,10 @@ mod tests {
     fn since_diffs_every_kind() {
         let cell = StatsCell::default();
         cell.record(Collective::Allreduce, 2, 100);
-        let a = CommStats::aggregate(1, std::slice::from_ref(&cell));
+        let a = cell.snapshot();
         cell.record(Collective::Allreduce, 2, 80);
         cell.record(Collective::Alltoallv, 1, 50);
-        let b = CommStats::aggregate(1, std::slice::from_ref(&cell));
+        let b = cell.snapshot();
         let d = b.since(&a);
         assert_eq!(d.op(Collective::Allreduce), OpStats { ops: 1, rounds: 2, bytes: 80 });
         assert_eq!(d.op(Collective::Alltoallv), OpStats { ops: 1, rounds: 1, bytes: 50 });

@@ -1,38 +1,35 @@
-//! Threads-as-ranks communicator.
+//! Threads-as-ranks transport.
 //!
 //! [`run_spmd`] launches `p` OS threads, each holding a [`ThreadComm`] with
 //! a distinct rank, and runs the same closure on all of them — the SPMD
-//! model of an `mpirun -np p` job. Collectives synchronize with a
-//! sense-reversing barrier and move payloads through shared, type-erased
-//! slots.
+//! model of an `mpirun -np p` job. The collectives are the
+//! [engine](crate::engine)'s; a `ThreadComm` is the in-memory mailbox
+//! [`Transport`] under them:
 //!
-//! Unlike the first iteration of this crate (which derived every collective
-//! from a p-wide allgather), each collective now runs its native algorithm
-//! with the volumes of its MPI counterpart (DESIGN.md §4):
+//! * a message is the sender's typed value, moved into the receiver's
+//!   mailbox as a `Box<dyn Any + Send>` — thread ranks never serialize;
+//! * each (sender, receiver) pair has one FIFO, and the receiver checks
+//!   every message's tag (collective kind and call sequence number) and
+//!   payload type, so a rank that runs ahead may post the next
+//!   collective's messages early and a desynchronized one fails loudly;
+//! * sends never block; a `recv` waits on the receiving rank's condition
+//!   variable;
+//! * [`Comm::barrier`](crate::Comm::barrier) is a sense-reversing barrier.
 //!
-//! * reductions and scans use **recursive doubling** — `⌈log₂ p⌉` rounds of
-//!   pairwise exchange, `O(m·log p)` received bytes per rank instead of the
-//!   allgather's `O(m·p)`;
-//! * **broadcast** is a single deposit: the root writes one slot and the
-//!   `p−1` peers read it (no gather);
-//! * **alltoallv** uses a `p×p` mailbox matrix, so every send vector is
-//!   *moved* from sender to receiver exactly once, never cloned;
-//! * **allgather** keeps the one-round deposit-and-read-all schedule, which
-//!   is already volume-optimal for its semantics.
-//!
-//! Every rank records `(ops, rounds, received bytes)` per collective kind
-//! into its own [`StatsCell`]; [`ThreadComm::stats`] aggregates them into
-//! the per-op [`CommStats`] the α–β cost model consumes.
+//! A rank that panics poisons the communicator: every rank blocked in a
+//! barrier or a `recv`, now or later, wakes and aborts instead of waiting
+//! for a message that will never come.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::stats::{Collective, CommStats, StatsCell};
+use crate::engine::{Tag, Transport};
+use crate::stats::{Collective, StatsCell};
 use crate::wire::Wire;
-use crate::Comm;
 
 /// Sentinel for "no rank has poisoned the communicator".
 const NOT_POISONED: usize = usize::MAX;
@@ -114,20 +111,49 @@ impl Barrier {
     }
 }
 
-type Slot = Mutex<Option<Box<dyn Any + Send>>>;
+/// One message in flight: its tag and the sender's value, moved as is.
+struct Msg {
+    tag: Tag,
+    value: Box<dyn Any + Send>,
+}
+
+impl std::fmt::Debug for Msg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Msg").field("tag", &self.tag).finish_non_exhaustive()
+    }
+}
+
+/// One rank's mailbox and counters.
+#[derive(Debug)]
+struct RankState {
+    /// Messages to this rank: `inbox[s]` is the FIFO from rank `s`.
+    inbox: Mutex<Vec<VecDeque<Msg>>>,
+    /// Signalled when a message arrives or the communicator is poisoned.
+    arrived: Condvar,
+    /// Collective calls this rank has opened.
+    calls: AtomicU64,
+    stats: StatsCell,
+}
 
 /// Shared state of one communicator instance.
 #[derive(Debug)]
 struct CommCore {
-    size: usize,
     barrier: Barrier,
-    /// One payload slot per rank (reductions, gathers, broadcast).
-    slots: Vec<Slot>,
-    /// `p×p` mailbox matrix for alltoallv: entry `s·p + d` carries what
-    /// rank `s` sends to rank `d`, moved in and moved out.
-    mail: Vec<Slot>,
-    /// One counter cell per rank; each rank writes only its own.
-    stats: Vec<StatsCell>,
+    ranks: Vec<RankState>,
+}
+
+impl CommCore {
+    /// Poison the communicator on behalf of `rank`: abort every present
+    /// and future barrier wait and `recv`.
+    fn poison(&self, rank: usize) {
+        self.barrier.poison(rank);
+        for state in &self.ranks {
+            // Lock before notifying, as `Barrier::poison` does, so a
+            // receiver cannot miss the wakeup between its check and wait.
+            let _guard = state.inbox.lock();
+            state.arrived.notify_all();
+        }
+    }
 }
 
 /// One rank's handle into a threads-as-ranks communicator.
@@ -143,298 +169,85 @@ impl ThreadComm {
     pub fn create(size: usize) -> Vec<ThreadComm> {
         assert!(size > 0, "communicator needs at least one rank");
         let core = Arc::new(CommCore {
-            size,
             barrier: Barrier::new(size),
-            slots: (0..size).map(|_| Mutex::new(None)).collect(),
-            mail: (0..size * size).map(|_| Mutex::new(None)).collect(),
-            stats: (0..size).map(|_| StatsCell::default()).collect(),
+            ranks: (0..size)
+                .map(|_| RankState {
+                    inbox: Mutex::new((0..size).map(|_| VecDeque::new()).collect()),
+                    arrived: Condvar::new(),
+                    calls: AtomicU64::new(0),
+                    stats: StatsCell::default(),
+                })
+                .collect(),
         });
         (0..size).map(|rank| ThreadComm { core: Arc::clone(&core), rank }).collect()
     }
 
-    fn deposit<T: Send + 'static>(&self, value: T) {
-        *self.core.slots[self.rank].lock() = Some(Box::new(value));
+    fn state(&self) -> &RankState {
+        &self.core.ranks[self.rank]
     }
 
-    fn peek<T: Clone + 'static, R>(&self, rank: usize, f: impl FnOnce(&T) -> R) -> R {
-        let guard = self.core.slots[rank].lock();
-        // Infallible — peek always follows the deposit barrier of the same collective round.
-        let boxed = guard.as_ref().expect("peer slot must be filled");
-        // Fail-loud SPMD-contract check — ranks disagreeing on T must not silently reinterpret bytes.
-        let value = boxed.downcast_ref::<T>().expect("collective type mismatch");
-        f(value)
-    }
-
-    fn record(&self, kind: Collective, rounds: u64, received_bytes: u64) {
-        self.core.stats[self.rank].record(kind, rounds, received_bytes);
-    }
-
-    /// Core recursive-doubling (butterfly) schedule shared by every
-    /// allreduce variant.
-    ///
-    /// `p` is folded to the largest power of two `q ≤ p` first (the extra
-    /// ranks pre-reduce into their partner and receive the result back at
-    /// the end), then `log₂ q` pairwise exchange rounds run among the first
-    /// `q` ranks. `combine` is always applied in rank order — lower rank's
-    /// partial first — so every rank finishes with the bitwise-identical
-    /// value of one fixed reduction tree.
-    ///
-    /// `msg_bytes` is the payload size of one exchanged message. Counts are
-    /// recorded *at entry* (they are deterministic functions of `p` and the
-    /// payload size), so a rank that exits the collective can snapshot the
-    /// stats without racing slower peers' bookkeeping.
-    fn butterfly<T, F>(&self, kind: Collective, value: T, msg_bytes: u64, combine: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let p = self.core.size;
-        if p == 1 {
-            self.record(kind, 0, 0);
-            return value;
-        }
-        let r = self.rank;
-        let q = prev_power_of_two(p);
-        let extra = p - q;
-        let log_q = q.trailing_zeros() as u64;
-        let rounds = log_q + if extra > 0 { 2 } else { 0 };
-        let my_exchanges = if r >= q {
-            1 // receives the finished result in the unfold round only
-        } else {
-            log_q + u64::from(r < extra)
+    /// Block until rank `from` has posted a message to this rank, then
+    /// take it, checking its tag and payload type.
+    fn take<V: 'static>(&self, from: usize, tag: Tag) -> V {
+        let state = self.state();
+        let mut inbox = state.inbox.lock();
+        let msg = loop {
+            // Checked under the lock: a poisoner wakes receivers without
+            // posting anything.
+            self.core.barrier.check_poison();
+            if let Some(msg) = inbox[from].pop_front() {
+                break msg;
+            }
+            state.arrived.wait(&mut inbox);
         };
-        self.record(kind, rounds, my_exchanges * msg_bytes);
-        let mut acc = value;
-
-        // Fold step: ranks q..p send their contribution to rank r−q.
-        if extra > 0 {
-            if r >= q {
-                self.deposit(acc.clone());
-            }
-            self.barrier();
-            if r < extra {
-                let theirs = self.peek::<T, _>(r + q, |t| t.clone());
-                acc = combine(acc, theirs);
-            }
-            self.barrier();
+        drop(inbox);
+        if msg.tag != tag {
+            // Fail-loud SPMD-contract check — the ranks issued different collectives; reading on would mix their payloads.
+            panic!(
+                "rank {}: message from rank {from} carries {:?}, expected {tag:?}",
+                self.rank, msg.tag
+            );
         }
-
-        // Butterfly among ranks 0..q.
-        let mut gap = 1;
-        while gap < q {
-            if r < q {
-                self.deposit(acc.clone());
-            }
-            self.barrier();
-            if r < q {
-                let partner = r ^ gap;
-                let theirs = self.peek::<T, _>(partner, |t| t.clone());
-                acc = if partner < r { combine(theirs, acc) } else { combine(acc, theirs) };
-            }
-            self.barrier();
-            gap <<= 1;
-        }
-
-        // Unfold step: ranks 0..extra hand the result back to r+q.
-        if extra > 0 {
-            if r < extra {
-                self.deposit(acc.clone());
-            }
-            self.barrier();
-            if r >= q {
-                acc = self.peek::<T, _>(r - q, |t| t.clone());
-            }
-            self.barrier();
-        }
-        acc
-    }
-
-    /// Element-wise butterfly reduction of a slice, in place.
-    fn butterfly_slice<T, F>(&self, kind: Collective, buf: &mut [T], op: F)
-    where
-        T: Copy + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let msg_bytes = std::mem::size_of_val(buf) as u64;
-        let out = self.butterfly(kind, buf.to_vec(), msg_bytes, |mut lower, higher| {
-            for (x, t) in lower.iter_mut().zip(higher) {
-                *x = op(*x, t);
-            }
-            lower
-        });
-        buf.copy_from_slice(&out);
+        // Fail-loud SPMD-contract check — ranks disagreeing on V must not silently reinterpret a payload.
+        *msg.value.downcast::<V>().unwrap_or_else(|_| panic!("collective type mismatch"))
     }
 }
 
-/// Largest power of two `≤ n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
-
-impl Comm for ThreadComm {
+impl Transport for ThreadComm {
     fn rank(&self) -> usize {
         self.rank
     }
 
     fn size(&self) -> usize {
-        self.core.size
+        self.core.ranks.len()
     }
 
     fn barrier(&self) {
         self.core.barrier.wait();
     }
 
-    fn allgather<T: Wire>(&self, local: Vec<T>) -> Vec<Vec<T>> {
-        let p = self.core.size;
-        self.deposit(local);
-        self.barrier();
-        let mut out = Vec::with_capacity(p);
-        let mut received = 0u64;
-        for r in 0..p {
-            out.push(self.peek::<Vec<T>, _>(r, |v| v.clone()));
-            if r != self.rank {
-                received += (out[r].len() * std::mem::size_of::<T>()) as u64;
-            }
-        }
-        // Record before the exit barrier so peers' post-collective
-        // snapshots see this rank's contribution; then nobody may
-        // overwrite a slot until everyone has read all of them.
-        self.record(Collective::Allgather, u64::from(p > 1), received);
-        self.barrier();
-        out
+    fn open(&self, kind: Collective) -> Tag {
+        Tag { kind, seq: self.state().calls.fetch_add(1, Ordering::Relaxed) + 1 }
     }
 
-    fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let p = self.core.size;
-        assert_eq!(sends.len(), p, "one send buffer per rank");
-        // Move each send vector into its (sender, receiver) mailbox.
-        for (d, v) in sends.into_iter().enumerate() {
-            *self.core.mail[self.rank * p + d].lock() = Some(Box::new(v));
-        }
-        self.barrier();
-        // Take ownership of what every sender deposited for this rank:
-        // each vector is moved exactly once end to end.
-        let mut out = Vec::with_capacity(p);
-        let mut received = 0u64;
-        for s in 0..p {
-            let boxed = self.core.mail[s * p + self.rank]
-                .lock()
-                .take()
-                // geo-analyze: allow(panic-in-spmd): infallible — every sender filled its row before the barrier above.
-                .expect("mailbox must be filled");
-            // geo-analyze: allow(panic-in-spmd): fail-loud SPMD-contract check — ranks disagreeing on T must not silently reinterpret bytes.
-            let v = *boxed.downcast::<Vec<T>>().expect("collective type mismatch");
-            if s != self.rank {
-                received += (v.len() * std::mem::size_of::<T>()) as u64;
-            }
-            out.push(v);
-        }
-        self.record(Collective::Alltoallv, u64::from(p > 1), received);
-        self.barrier();
-        out
+    fn send<V: Wire>(&self, to: usize, tag: Tag, value: V) {
+        let dest = &self.core.ranks[to];
+        dest.inbox.lock()[self.rank].push_back(Msg { tag, value: Box::new(value) });
+        dest.arrived.notify_one();
     }
 
-    fn allreduce<T, F>(&self, value: T, combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        let esz = std::mem::size_of::<T>() as u64;
-        self.butterfly(Collective::Allreduce, value, esz, combine)
+    fn recv<V: Wire>(&self, from: usize, tag: Tag) -> V {
+        self.take(from, tag)
     }
 
-    fn allreduce_sum_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, buf, |a, b| a + b);
-    }
-
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, buf, f64::max);
-    }
-
-    fn allreduce_min_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, buf, f64::min);
-    }
-
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        self.butterfly_slice(Collective::Allreduce, buf, |a, b| a.wrapping_add(b));
-    }
-
-    fn exscan_sum_u64(&self, value: u64) -> u64 {
-        // Hillis–Steele distributed scan: at distance `gap`, every rank
-        // passes its inclusive partial down-stream; rank r accumulates
-        // from r−gap. ⌈log₂ p⌉ rounds, 8 received bytes per active round.
-        let p = self.core.size;
-        if p == 1 {
-            self.record(Collective::Exscan, 0, 0);
-            return 0;
-        }
-        let r = self.rank;
-        // Rank r receives in every round whose gap (1, 2, 4, …) is ≤ r.
-        let rounds = usize::BITS as u64 - (p - 1).leading_zeros() as u64;
-        let my_receives = (0..rounds).filter(|&d| (1usize << d) <= r).count() as u64;
-        self.record(Collective::Exscan, rounds, my_receives * 8);
-        let mut exclusive = 0u64;
-        let mut inclusive = value;
-        let mut gap = 1;
-        while gap < p {
-            self.deposit(inclusive);
-            self.barrier();
-            if r >= gap {
-                let theirs = self.peek::<u64, _>(r - gap, |&t| t);
-                exclusive += theirs;
-                inclusive += theirs;
-            }
-            self.barrier();
-            gap <<= 1;
-        }
-        exclusive
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        // Single deposit: the root writes its slot once; the p−1 peers
-        // read it. The root takes its own value back out of the slot after
-        // the read phase, so nothing is cloned on the root path.
-        debug_assert!(root < self.core.size);
-        if self.core.size == 1 {
-            self.record(Collective::Broadcast, 0, 0);
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            return value.expect("root must supply a value");
-        }
-        let received =
-            if self.rank == root { 0 } else { std::mem::size_of::<T>() as u64 };
-        self.record(Collective::Broadcast, 1, received);
-        if self.rank == root {
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            self.deposit(value.expect("root must supply a value"));
-        }
-        self.barrier();
-        let out = if self.rank == root {
-            None
-        } else {
-            Some(self.peek::<T, _>(root, |t| t.clone()))
-        };
-        self.barrier();
-        match out {
-            Some(v) => v,
-            None => {
-                let boxed =
-                    // geo-analyze: allow(panic-in-spmd): infallible — the root deposited before the barrier and only the root takes.
-                    self.core.slots[root].lock().take().expect("root slot present");
-                // geo-analyze: allow(panic-in-spmd): infallible — the root reclaims the exact value it deposited.
-                *boxed.downcast::<T>().expect("collective type mismatch")
-            }
-        }
-    }
-
-    fn stats(&self) -> CommStats {
-        CommStats::aggregate(self.core.size, &self.core.stats)
+    fn with_stats<R>(&self, f: impl FnOnce(&StatsCell) -> R) -> R {
+        f(&self.state().stats)
     }
 }
 
-/// Poisons the communicator's barrier if its rank unwinds, so peers
-/// blocked in collectives abort instead of waiting forever for a rank
-/// that will never arrive.
+/// Poisons the communicator if its rank unwinds, so peers blocked in
+/// collectives abort instead of waiting forever for a rank that will
+/// never arrive.
 struct PoisonOnPanic {
     core: Arc<CommCore>,
     rank: usize,
@@ -443,7 +256,7 @@ struct PoisonOnPanic {
 impl Drop for PoisonOnPanic {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.core.barrier.poison(self.rank);
+            self.core.poison(self.rank);
         }
     }
 }
@@ -474,7 +287,7 @@ where
                         PoisonOnPanic { core: Arc::clone(&comm.core), rank: comm.rank };
                     let out = f(comm);
                     // Reached only on success; a panic in `f` drops the
-                    // guard while unwinding and poisons the barrier.
+                    // guard while unwinding and poisons the communicator.
                     std::mem::forget(guard);
                     out
                 })
@@ -503,8 +316,8 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::stats::OpStats;
+    use crate::stats::{Collective, CommStats, OpStats};
+    use crate::{run_spmd, Comm};
 
     #[test]
     fn allgather_collects_everyone() {
@@ -654,30 +467,24 @@ mod tests {
         assert!(results.windows(2).all(|w| w[0] == w[1]));
     }
 
-    /// `stats()` aggregates every rank's cells, and collectives record at
-    /// entry. Fence the snapshot with barriers (which record nothing) so
-    /// that no peer is still short of the previous collective or already
-    /// inside the next one while it is taken.
-    fn quiet_stats(c: &ThreadComm) -> CommStats {
-        c.barrier();
-        let s = c.stats();
-        c.barrier();
-        s
-    }
-
     #[test]
     fn stats_break_down_by_collective() {
-        let results = run_spmd(2, |c| {
-            let before = quiet_stats(&c);
+        let views = run_spmd(2, |c| {
+            let before = c.stats();
             let _ = c.allgather(vec![0u64; 4]);
             let mut buf = vec![0.0f64; 4];
             c.allreduce_sum_f64(&mut buf);
             let _ = c.exscan_sum_u64(1);
             let _ = c.broadcast(0, if c.rank() == 0 { Some(3u64) } else { None });
             let _ = c.alltoallv(vec![vec![1u8], vec![2u8]]);
-            quiet_stats(&c).since(&before)
+            c.stats().since(&before)
         });
-        let d = results[0];
+        // Each rank sees only its own received bytes: the exscan and the
+        // broadcast deliver to rank 1 alone.
+        assert_eq!(views[0].ranks, 1);
+        assert_eq!(views[0].op(Collective::Exscan), OpStats { ops: 1, rounds: 1, bytes: 0 });
+        assert_eq!(views[1].op(Collective::Exscan), OpStats { ops: 1, rounds: 1, bytes: 8 });
+        let d = CommStats::from_rank_views(&views);
         assert_eq!(d.ranks, 2);
         // allgather: each rank receives the peer's 32 bytes in one round.
         assert_eq!(d.op(Collective::Allgather), OpStats { ops: 1, rounds: 1, bytes: 64 });
@@ -694,32 +501,33 @@ mod tests {
 
     #[test]
     fn butterfly_allreduce_beats_allgather_volume_by_2x() {
-        // The ISSUE-2 acceptance bound: p = 8, 4096-element f64 buffer —
-        // per-rank received bytes of the native allreduce must be at least
-        // 2× below the allgather-derived baseline.
+        // p = 8, 4096-element f64 buffer: the per-rank received bytes of
+        // the butterfly allreduce must be at least 2× below those of an
+        // allgather of the same buffer.
         let (p, m) = (8usize, 4096usize);
-        let results = run_spmd(p, |c| {
-            let s0 = quiet_stats(&c);
+        let views = run_spmd(p, |c| {
+            let s0 = c.stats();
             let mut buf = vec![1.0f64; m];
             c.allreduce_sum_f64(&mut buf);
-            let s1 = quiet_stats(&c);
+            let s1 = c.stats();
             let _ = c.allgather(vec![1.0f64; m]);
-            let s2 = quiet_stats(&c);
-            (s1.since(&s0), s2.since(&s1))
+            (s1.since(&s0), c.stats().since(&s1))
         });
-        let (reduce, gather) = &results[0];
-        let reduce_per_rank = reduce.op(Collective::Allreduce).bytes / p as u64;
-        let gather_per_rank = gather.op(Collective::Allgather).bytes / p as u64;
-        // Exactly log₂(8) = 3 exchange rounds of 4096·8 bytes each...
-        assert_eq!(reduce.op(Collective::Allreduce).rounds, 3);
-        assert_eq!(reduce_per_rank, 3 * (m as u64) * 8);
-        // ...versus (p−1)·m·8 for the gather-everything baseline.
-        assert_eq!(gather_per_rank, 7 * (m as u64) * 8);
-        assert!(
-            gather_per_rank >= 2 * reduce_per_rank,
-            "allreduce must receive ≥2× fewer bytes than the allgather \
-             baseline ({reduce_per_rank} vs {gather_per_rank})"
-        );
+        for (reduce, gather) in &views {
+            let reduce_per_rank = reduce.op(Collective::Allreduce).bytes;
+            let gather_per_rank = gather.op(Collective::Allgather).bytes;
+            // Exactly log₂(8) = 3 exchange rounds of 4096·8 bytes each...
+            assert_eq!(reduce.op(Collective::Allreduce).rounds, 3);
+            assert_eq!(reduce_per_rank, 3 * (m as u64) * 8);
+            // ...versus (p−1) ring steps of m·8 bytes for the allgather.
+            assert_eq!(gather.op(Collective::Allgather).rounds, 7);
+            assert_eq!(gather_per_rank, 7 * (m as u64) * 8);
+            assert!(
+                gather_per_rank >= 2 * reduce_per_rank,
+                "allreduce must receive ≥2× fewer bytes than the allgather \
+                 ({reduce_per_rank} vs {gather_per_rank})"
+            );
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! Wire serialization for collective payloads.
 //!
-//! [`ThreadComm`](crate::ThreadComm) moves payloads between ranks as
-//! type-erased boxes inside one address space, so any `Clone + Send` type
-//! works. A multi-process backend ([`ProcComm`](crate::ProcComm)) moves
-//! them over Unix-domain sockets, which needs an explicit byte encoding.
-//! [`Wire`] is that encoding: a minimal, dependency-free, little-endian
-//! format implemented for exactly the payload shapes the workspace's
-//! algorithms exchange (scalars, tuples, fixed arrays, vectors).
+//! [`ThreadComm`](crate::ThreadComm) moves payloads between ranks as typed
+//! values inside one address space and never encodes them. The
+//! multi-process transport ([`ProcComm`](crate::ProcComm)) moves them over
+//! Unix-domain sockets, which needs an explicit byte encoding. [`Wire`] is
+//! that encoding: a minimal, dependency-free, little-endian format
+//! implemented for exactly the payload shapes the workspace's algorithms
+//! exchange (scalars, tuples, fixed arrays, vectors). It also carries the
+//! one byte-accounting rule every transport's counters use
+//! ([`Wire::payload_bytes`]).
 //!
 //! The [`Comm`](crate::Comm) trait bounds its generic collectives on
 //! `Wire`, so every algorithm written against `Comm` is guaranteed to run
-//! unchanged on both the threads-as-ranks and the processes-as-ranks
-//! backend. The encoding is not self-describing (no field tags, no type
-//! ids): both sides of a collective already agree on `T` by the SPMD
-//! contract, and the framing layer around it carries length, sequence
-//! number, and collective kind (see `proc::frame`).
+//! unchanged on every transport. The encoding is not self-describing (no
+//! field tags, no type ids): both sides of a collective already agree on
+//! `T` by the SPMD contract, and the framing layer around it carries
+//! length, sequence number, and collective kind (see `proc::frame`).
 
 /// A value that can cross a process boundary inside a collective.
 ///
@@ -29,6 +30,14 @@ pub trait Wire: Clone + Send + 'static {
     fn wire_write(&self, out: &mut Vec<u8>);
     /// Decode one value from the cursor.
     fn wire_read(r: &mut WireCursor<'_>) -> Self;
+
+    /// Bytes this value counts for when a rank receives it in a
+    /// collective: its shallow size, or for a vector the shallow size of
+    /// its elements. Independent of the encoding, so every transport
+    /// counts the same bytes.
+    fn payload_bytes(&self) -> u64 {
+        std::mem::size_of::<Self>() as u64
+    }
 }
 
 /// Read cursor over an encoded buffer.
@@ -181,6 +190,9 @@ impl<T: Wire> Wire for Vec<T> {
         // left, so a corrupt length fails here instead of in an OOM.
         assert!(n <= r.remaining(), "wire vector length {n} exceeds payload");
         (0..n).map(|_| T::wire_read(r)).collect()
+    }
+    fn payload_bytes(&self) -> u64 {
+        (self.len() * std::mem::size_of::<T>()) as u64
     }
 }
 
